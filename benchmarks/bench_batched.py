@@ -15,8 +15,8 @@ Two entry points:
     structure-of-arrays run, prefix-sharing the common step work),
   - ``serial`` — the warmed shared-scheduler loop the sweeps used before
     (one incremental-engine solve per budget, workspace reused),
-  - ``reference`` — the original dict/networkx engine with the kernel
-    disabled (every paper-scale row; one mid row at stress scale, where
+  - ``reference`` — the original dict/networkx engine, which never
+    touches the array kernel (every paper-scale row; one mid row at stress scale, where
     a full reference sweep would take minutes),
 
   and asserts every batched row is *identical* (schedule, step trace,
@@ -53,7 +53,6 @@ from bench_fastpath import (
 from bench_meta import stamp_metadata
 
 from repro.algorithms.critical_greedy import CriticalGreedyScheduler
-from repro.core import fastpath
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_batched.json"
 
@@ -94,18 +93,14 @@ def run_scale(name: str, *, check_reference: bool = True) -> dict:
             range(len(budgets)) if name == "paper" else [len(budgets) // 2]
         )
         ref_cg = CriticalGreedyScheduler(engine="reference")
-        previous = fastpath.set_kernel_enabled(False)
-        try:
-            for idx in check_levels:
-                reference = ref_cg.solve(problem, budgets[idx])
-                _assert_row_identical(
-                    reference,
-                    batched[idx],
-                    f"{name} level {idx + 1}: batched vs reference",
-                )
-                reference_rows += 1
-        finally:
-            fastpath.set_kernel_enabled(previous)
+        for idx in check_levels:
+            reference = ref_cg.solve(problem, budgets[idx])
+            _assert_row_identical(
+                reference,
+                batched[idx],
+                f"{name} level {idx + 1}: batched vs reference",
+            )
+            reference_rows += 1
 
     # Both contenders are warm (first runs above); serial keeps its
     # IncrementalSweep workspace across budgets, which is the strongest

@@ -4,17 +4,17 @@ Two entry points:
 
 * ``pytest benchmarks/bench_fastpath.py --benchmark-only`` — paper-scale
   pytest-benchmark runs (kernel sweep + one Critical-Greedy solve) with
-  the fast/reference equivalence asserted before timing;
+  the kernel/reference equivalence asserted before timing;
 * ``python benchmarks/bench_fastpath.py [--scale paper|stress|all]
   [--check] [--out PATH]`` — the JSON emitter behind
   ``BENCH_fastpath.json``: for each scale it measures
 
-  - the CP kernel (µs per sweep, fast vs reference),
-  - Critical-Greedy end-to-end (s per solve, fast engine + kernel vs
-    reference engine + kernel disabled),
-  - a budget sweep (s per grid, ``n_jobs`` 1 vs 4),
+  - the CP kernel (µs per sweep, :mod:`repro.core.fastpath` vs
+    :func:`~repro.core.critical_path.analyze_critical_path`),
+  - Critical-Greedy end-to-end (s per solve, the default engine vs the
+    kernel-free ``reference`` engine),
 
-  and asserts the fast results are *identical* (schedule, step trace,
+  and asserts the kernel results are *identical* (schedule, step trace,
   MED, cost — no tolerance) to the reference.  ``--check`` exits
   non-zero on any divergence, which is the CI perf-smoke gate; wall
   clock is recorded but never gated, so CI stays robust to noisy
@@ -37,7 +37,6 @@ import numpy as np
 from bench_meta import stamp_metadata
 
 from repro.algorithms.critical_greedy import CriticalGreedyScheduler
-from repro.analysis.sweep import sweep_budgets
 from repro.core import fastpath
 from repro.core.critical_path import analyze_critical_path
 from repro.workloads.generator import generate_problem
@@ -69,15 +68,15 @@ def _time_best(fn, repeats: int) -> float:
     return min(_time_once(fn) for _ in range(repeats))
 
 
-def _assert_equal_results(ref, fast, context: str) -> None:
+def _assert_equal_results(ref, other, context: str) -> None:
     """Identity (not closeness) of two SchedulerResults."""
-    if ref.schedule.assignment != fast.schedule.assignment:
+    if ref.schedule.assignment != other.schedule.assignment:
         raise AssertionError(f"{context}: schedules differ")
-    if ref.steps != fast.steps:
+    if ref.steps != other.steps:
         raise AssertionError(f"{context}: step traces differ")
-    if ref.evaluation.makespan != fast.evaluation.makespan:
+    if ref.evaluation.makespan != other.evaluation.makespan:
         raise AssertionError(f"{context}: MED differs")
-    if ref.evaluation.total_cost != fast.evaluation.total_cost:
+    if ref.evaluation.total_cost != other.evaluation.total_cost:
         raise AssertionError(f"{context}: cost differs")
 
 
@@ -87,11 +86,11 @@ def _bench_kernel(problem, repeats: int) -> dict:
     transfers = problem.transfer_times or None
 
     ref = analyze_critical_path(problem.workflow, durations, transfers)
-    fast = fastpath.fast_critical_path(problem.workflow, durations, transfers)
-    if ref != fast.as_analysis():
-        raise AssertionError("kernel: fast analysis differs from reference")
+    kernel = fastpath.fast_critical_path(problem.workflow, durations, transfers)
+    if ref != kernel.as_analysis():
+        raise AssertionError("kernel: analysis differs from reference")
 
-    fast_s = _time_best(
+    kernel_s = _time_best(
         lambda: fastpath.fast_critical_path(problem.workflow, durations, transfers),
         repeats,
     )
@@ -100,60 +99,29 @@ def _bench_kernel(problem, repeats: int) -> dict:
         repeats,
     )
     return {
-        "fast_us_per_sweep": fast_s * 1e6,
+        "kernel_us_per_sweep": kernel_s * 1e6,
         "reference_us_per_sweep": ref_s * 1e6,
-        "speedup": ref_s / fast_s,
+        "speedup": ref_s / kernel_s,
     }
 
 
 def _bench_cg(problem, budget: float) -> dict:
-    fast_cg = CriticalGreedyScheduler(engine="fast")
+    cg = CriticalGreedyScheduler()
     ref_cg = CriticalGreedyScheduler(engine="reference")
 
-    fast_result = fast_cg.solve(problem, budget)
-    fast_s = _time_once(lambda: fast_cg.solve(problem, budget))
+    result = cg.solve(problem, budget)
+    cg_s = _time_once(lambda: cg.solve(problem, budget))
+    ref_result = ref_cg.solve(problem, budget)
+    ref_s = _time_once(lambda: ref_cg.solve(problem, budget))
 
-    previous = fastpath.set_kernel_enabled(False)
-    try:
-        ref_result = ref_cg.solve(problem, budget)
-        ref_s = _time_once(lambda: ref_cg.solve(problem, budget))
-    finally:
-        fastpath.set_kernel_enabled(previous)
-
-    _assert_equal_results(ref_result, fast_result, "critical-greedy")
+    _assert_equal_results(ref_result, result, "critical-greedy")
     return {
-        "fast_s_per_solve": fast_s,
+        "incremental_s_per_solve": cg_s,
         "reference_s_per_solve": ref_s,
-        "speedup": ref_s / fast_s,
-        "steps": len(fast_result.steps),
-        "med": fast_result.evaluation.makespan,
-        "cost": fast_result.evaluation.total_cost,
-    }
-
-
-def _bench_sweep(problem, levels: int) -> dict:
-    cg = CriticalGreedyScheduler()
-    serial = sweep_budgets(problem, [cg], levels=levels)
-    serial_s = _time_once(lambda: sweep_budgets(problem, [cg], levels=levels))
-    parallel = sweep_budgets(problem, [cg], levels=levels, n_jobs=4)
-    parallel_s = _time_once(
-        lambda: sweep_budgets(problem, [cg], levels=levels, n_jobs=4)
-    )
-    if serial != parallel:
-        raise AssertionError("sweep: n_jobs=4 result differs from serial")
-    auto = sweep_budgets(problem, [cg], levels=levels, n_jobs="auto")
-    auto_s = _time_once(
-        lambda: sweep_budgets(problem, [cg], levels=levels, n_jobs="auto")
-    )
-    if serial != auto:
-        raise AssertionError("sweep: n_jobs='auto' result differs from serial")
-    return {
-        "levels": levels,
-        "serial_s_per_grid": serial_s,
-        "n_jobs4_s_per_grid": parallel_s,
-        "auto_s_per_grid": auto_s,
-        "speedup": serial_s / parallel_s,
-        "auto_speedup": serial_s / auto_s,
+        "speedup": ref_s / cg_s,
+        "steps": len(result.steps),
+        "med": result.evaluation.makespan,
+        "cost": result.evaluation.total_cost,
     }
 
 
@@ -162,13 +130,11 @@ def run_scale(name: str) -> dict:
     problem = _make_problem(size)
     budget = _mid_budget(problem)
     kernel_repeats = 20 if name == "paper" else 5
-    sweep_levels = 10 if name == "paper" else 4
     return {
         "size": list(size),
         "budget": budget,
         "kernel": _bench_kernel(problem, kernel_repeats),
         "critical_greedy": _bench_cg(problem, budget),
-        "sweep": _bench_sweep(problem, sweep_levels),
     }
 
 
@@ -178,17 +144,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="equivalence gate: exit 1 if fast != reference anywhere",
+        help="equivalence gate: exit 1 if kernel != reference anywhere",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
     names = list(SCALES) if args.scale == "all" else [args.scale]
-    # n_jobs timings only show a speedup with real cores to spare; the
-    # harness asserts result *parity* regardless.  The metadata block
-    # records both CPU views: cpu_count is the machine, effective_affinity
-    # is what this process may actually use (containers often pin to a
-    # subset — the number that decides whether forking can ever win).
     payload = {
         **stamp_metadata("benchmarks/bench_fastpath.py"),
         "seed": SEED,
@@ -201,7 +162,7 @@ def main(argv=None) -> int:
             cg = payload["scales"][name]["critical_greedy"]
             print(
                 f"[bench_fastpath]   CG {cg['reference_s_per_solve']:.3f}s -> "
-                f"{cg['fast_s_per_solve']:.3f}s ({cg['speedup']:.1f}x), "
+                f"{cg['incremental_s_per_solve']:.3f}s ({cg['speedup']:.1f}x), "
                 f"{cg['steps']} steps",
                 flush=True,
             )
@@ -235,19 +196,17 @@ def bench_kernel_sweep(benchmark, save_report):
     )
 
 
-def bench_critical_greedy_fast(benchmark, save_report):
+def bench_critical_greedy_default(benchmark, save_report):
     problem = _make_problem(PAPER_SCALE)
     budget = _mid_budget(problem)
-    fast_cg = CriticalGreedyScheduler(engine="fast")
+    cg = CriticalGreedyScheduler()
     ref = CriticalGreedyScheduler(engine="reference").solve(problem, budget)
-    result = benchmark.pedantic(
-        fast_cg.solve, args=(problem, budget), rounds=3, iterations=1
-    )
+    result = benchmark.pedantic(cg.solve, args=(problem, budget), rounds=3, iterations=1)
     _assert_equal_results(ref, result, "critical-greedy (pytest bench)")
     save_report(
         "fastpath_cg",
         f"paper-scale CG: {len(result.steps)} steps, "
-        f"MED={result.evaluation.makespan:.6f} (fast == reference)",
+        f"MED={result.evaluation.makespan:.6f} (default engine == reference)",
     )
 
 

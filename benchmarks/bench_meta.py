@@ -26,14 +26,30 @@ from typing import Any
 
 import numpy as np
 
-from repro.analysis.sweep import effective_cpu_count
-
-__all__ = ["BENCH_SCHEMA_VERSION", "stamp_metadata"]
+__all__ = ["BENCH_SCHEMA_VERSION", "effective_cpu_count", "stamp_metadata"]
 
 #: Version of the shared metadata block (not of any bench's own fields).
 BENCH_SCHEMA_VERSION = 2
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def effective_cpu_count() -> int:
+    """CPUs actually available to this process.
+
+    Containers and batch schedulers routinely pin processes to a subset
+    of the machine's cores; ``os.cpu_count()`` reports the machine while
+    ``os.sched_getaffinity(0)`` reports the pinned set.  Uses the
+    affinity where the platform provides it, falling back to
+    ``os.cpu_count()`` (macOS, Windows).
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return len(getaffinity(0))
+        except OSError:  # pragma: no cover - exotic platforms
+            pass
+    return os.cpu_count() or 1
 
 
 def _git_sha() -> str | None:

@@ -20,7 +20,7 @@ Termination: each applied step strictly decreases the rescheduled module's
 execution time, and a module has only ``n`` distinct times, so the loop
 runs at most ``m * (n - 1)`` iterations.
 
-Three engines implement the identical algorithm:
+Two engines implement the identical algorithm:
 
 * ``"incremental"`` (default) — the delta engine: one
   :class:`~repro.core.fastpath.IncrementalSweep` repropagates only the
@@ -33,15 +33,13 @@ Three engines implement the identical algorithm:
   a single-slot per-problem workspace so repeated solves on the same
   problem (budget sweeps, instance comparisons) reuse the sweep buffers
   and the CSR index;
-* ``"fast"`` — the PR-2 array engine: one cached full CSR sweep
-  (:mod:`repro.core.fastpath`) per iteration, the shared
-  :func:`~repro.core.fastpath.critical_row_mask` candidate routine, and
-  the original scalar ``_EPS`` tie-break scan over the surviving
-  entries;
 * ``"reference"`` — the original dict-and-networkx inner loop, kept as
-  the ground truth for the equivalence tests and the perf benchmark.
+  the ground truth for the equivalence tests and the perf benchmark.  It
+  evaluates every schedule with
+  :func:`~repro.core.critical_path.analyze_critical_path` and never
+  touches the array kernel it checks.
 
-All three produce byte-identical schedules, step traces, MEDs and costs
+Both produce byte-identical schedules, step traces, MEDs and costs
 (asserted by the test suite and ``benchmarks/bench_incremental.py
 --check`` in CI).
 
@@ -81,8 +79,9 @@ from repro.algorithms.base import (
     result_validation_enabled,
 )
 from repro.core import fastpath
+from repro.core.critical_path import analyze_critical_path
 from repro.core.problem import MedCCProblem
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, ScheduleEvaluation
 from repro.exceptions import ConfigurationError
 
 __all__ = ["CriticalGreedyScheduler"]
@@ -336,10 +335,9 @@ class CriticalGreedyScheduler:
         CP on execution times only) for ablation.
     engine:
         ``"incremental"`` (default) runs delta CP sweeps with the
-        vectorized candidate argmax; ``"fast"`` runs one full CSR sweep
-        per iteration with the scalar tie-break scan; ``"reference"``
-        runs the original implementation.  All three produce identical
-        schedules, step traces, MEDs and costs.
+        vectorized candidate argmax; ``"reference"`` runs the original
+        implementation.  Both produce identical schedules, step traces,
+        MEDs and costs.
     """
 
     candidate_scope: str = "critical"
@@ -353,9 +351,9 @@ class CriticalGreedyScheduler:
                 f"candidate_scope must be 'critical' or 'all', "
                 f"got {self.candidate_scope!r}"
             )
-        if self.engine not in ("incremental", "fast", "reference"):
+        if self.engine not in ("incremental", "reference"):
             raise ConfigurationError(
-                f"engine must be 'incremental', 'fast' or 'reference', "
+                f"engine must be 'incremental' or 'reference', "
                 f"got {self.engine!r}"
             )
         # Single-slot workspace cache of the incremental engine.  Not a
@@ -365,8 +363,7 @@ class CriticalGreedyScheduler:
 
     def __getstate__(self) -> dict[str, object]:
         # The workspace holds a weakref (unpicklable) and is pure cache;
-        # drop it so scheduler instances can cross process boundaries
-        # (ProcessPoolExecutor in the analysis sweeps).
+        # drop it so scheduler instances stay picklable.
         state = dict(self.__dict__)
         state["_workspace"] = None
         return state
@@ -378,8 +375,6 @@ class CriticalGreedyScheduler:
         """Run Algorithm 1 and return the schedule, MED and full trace."""
         if self.engine == "incremental":
             return self._solve_incremental(problem, budget)
-        if self.engine == "fast":
-            return self._solve_fast(problem, budget)
         return self._solve_reference(problem, budget)
 
     def solve_batch(
@@ -394,8 +389,8 @@ class CriticalGreedyScheduler:
         work scales with the number of *distinct* step-sequence
         suffixes instead of the sum of trace lengths (see the module
         docstring).  Only the incremental engine has a batched path; the
-        other engines (and the trivial single-budget case) fall back to
-        serial solves, so callers can use this unconditionally.
+        reference engine (and the trivial single-budget case) falls back
+        to serial solves, so callers can use this unconditionally.
 
         Raises :class:`~repro.exceptions.InfeasibleBudgetError` on the
         first infeasible budget, before any row is solved — exactly
@@ -718,8 +713,8 @@ class CriticalGreedyScheduler:
             # Whole dt/dc matrices, maintained incrementally: only the
             # upgraded module's row changes between iterations, and the
             # refresh repeats the exact subtraction the full rebuild
-            # would perform, so every entry stays bit-identical to the
-            # per-iteration rebuild of the "fast" engine.
+            # would perform, so every entry stays bit-identical to a
+            # per-iteration rebuild.
             dt_all = current_te[:, None] - te
             dc_all = ce - current_ce[:, None]
 
@@ -776,105 +771,6 @@ class CriticalGreedyScheduler:
         )
 
     # ------------------------------------------------------------------ #
-    # Fast engine: full CSR sweep per iteration + scalar tie-break scan
-    # ------------------------------------------------------------------ #
-
-    def _solve_fast(self, problem: MedCCProblem, budget: float) -> SchedulerResult:
-        problem.check_feasible(budget)
-        matrices = problem.matrices
-        te, ce = matrices.te, matrices.ce
-        num_modules, num_types = matrices.num_modules, matrices.num_types
-        module_names = matrices.module_names
-
-        index = fastpath.graph_index(problem.workflow)
-        transfers = (
-            fastpath.transfer_vector(index, problem.transfer_times)
-            if self.transfer_aware
-            else None
-        )
-
-        # Least-cost start (Alg. 1, step 2) and its (transfer-inclusive)
-        # total cost, exactly as the reference engine computes them.
-        columns = [int(j) for j in matrices.least_cost_choice()]
-        cost = problem.cost_of(Schedule._adopt(dict(zip(module_names, columns))))
-
-        # Mutable state of the inner loop: per-node durations for the CP
-        # sweep, plus the current row-wise time/cost of each module.
-        durations = list(index.base_durations)
-        sched_nodes = index.sched_nodes
-        rows_arange = np.arange(num_modules)
-        current_te = te[rows_arange, columns]
-        current_ce = ce[rows_arange, columns]
-        for row, node in enumerate(sched_nodes):
-            durations[node] = float(current_te[row])
-
-        est_vec, _, lst_vec, _, _, makespan = fastpath.sweep_arrays(
-            index, durations, transfers
-        )
-        steps: list[ReschedulingStep] = []
-
-        while budget - cost > _EPS:
-            extra = budget - cost
-            if self.candidate_scope == "critical":
-                cand = np.flatnonzero(
-                    fastpath.critical_row_mask(index, est_vec, lst_vec)
-                )
-                if cand.size == 0:
-                    break
-            else:
-                cand = rows_arange
-
-            # Alg. 1, lines 11-13 — vectorized over whole te/ce rows.  The
-            # validity mask reproduces the original per-entry skip tests
-            # (dt <= eps, dc > extra + eps, j == j_cur has dt == 0 exactly);
-            # the surviving entries are scanned in the original row-major
-            # (module order, type order) sequence with the original _EPS
-            # comparisons, so the selected step is identical bit-for-bit.
-            dt = current_te[cand, None] - te[cand, :]
-            dc = ce[cand, :] - current_ce[cand, None]
-            valid = (dt > _EPS) & (dc <= extra + _EPS)
-            picked = _pick_step_scan(dt, dc, valid, num_types)
-            if picked is None:
-                break
-            cand_row, j, best_dt, best_dc = picked
-
-            row = int(cand[cand_row])
-            module = module_names[row]
-            from_type = columns[row]
-
-            columns[row] = j
-            new_time = float(te[row, j])
-            current_te[row] = new_time
-            current_ce[row] = ce[row, j]
-            durations[sched_nodes[row]] = new_time
-            cost += best_dc
-            est_vec, _, lst_vec, _, _, makespan = fastpath.sweep_arrays(
-                index, durations, transfers
-            )
-            steps.append(
-                ReschedulingStep(
-                    module=module,
-                    from_type=from_type,
-                    to_type=j,
-                    time_decrease=best_dt,
-                    cost_increase=best_dc,
-                    makespan_after=makespan,
-                    cost_after=cost,
-                )
-            )
-
-        current = Schedule._adopt(dict(zip(module_names, columns)))
-        evaluation = self._evaluate(problem, current)
-        return SchedulerResult(
-            algorithm=self.name,
-            schedule=current,
-            evaluation=evaluation,
-            budget=budget,
-            steps=tuple(steps),
-            extras={"iterations": len(steps)},
-        )
-
-    # ------------------------------------------------------------------ #
     # Reference engine: the original dict-and-networkx implementation
     # ------------------------------------------------------------------ #
 
@@ -890,7 +786,7 @@ class CriticalGreedyScheduler:
         # multi-cloud extension) so the budget comparison stays honest.
         cost = problem.cost_of(current)
         steps: list[ReschedulingStep] = []
-        evaluation = self._evaluate(problem, current)
+        evaluation = self._evaluate_reference(problem, current)
 
         while budget - cost > _EPS:
             extra = budget - cost
@@ -937,7 +833,7 @@ class CriticalGreedyScheduler:
             )
             current = current.with_assignment(module, j)
             cost += dc
-            evaluation = self._evaluate(problem, current)
+            evaluation = self._evaluate_reference(problem, current)
             steps[-1] = ReschedulingStep(
                 module=module,
                 from_type=steps[-1].from_type,
@@ -961,3 +857,22 @@ class CriticalGreedyScheduler:
         if self.transfer_aware:
             return problem.evaluate(schedule)
         return schedule.evaluate(problem.workflow, problem.matrices, None)
+
+    def _evaluate_reference(
+        self, problem: MedCCProblem, schedule: Schedule
+    ) -> ScheduleEvaluation:
+        """:meth:`_evaluate` without the array kernel: the oracle's own path."""
+        workflow, matrices = problem.workflow, problem.matrices
+        transfer_times = problem.transfer_times if self.transfer_aware else None
+        analysis = analyze_critical_path(
+            workflow, schedule.durations(workflow, matrices), transfer_times
+        )
+        total_cost = schedule.total_cost(matrices)
+        if self.transfer_aware and problem.transfer_cost_total:
+            total_cost += problem.transfer_cost_total
+        return ScheduleEvaluation(
+            schedule=schedule,
+            total_cost=total_cost,
+            makespan=analysis.makespan,
+            analysis=analysis,
+        )

@@ -62,16 +62,15 @@ result:
   This is the kernel behind ``CriticalGreedyScheduler.solve_batch``:
   one graph, B budgets, one numpy kernel per Critical-Greedy step.
 
-The reference implementation is retained untouched as the ground truth;
-``REPRO_FASTPATH=0`` (or :func:`set_kernel_enabled`) routes
-:meth:`Schedule.evaluate` back through it, which is how the benchmark
-harness (``benchmarks/bench_fastpath.py``) measures the speedup and how
-the property tests assert equivalence.
+The reference implementation is retained untouched as the ground truth:
+:func:`~repro.core.critical_path.analyze_critical_path` is what the
+``reference`` Critical-Greedy engine, the property tests and the
+benchmark harness (``benchmarks/bench_fastpath.py``) call to check this
+kernel.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -96,42 +95,12 @@ __all__ = [
     "critical_row_mask_batch",
     "fast_critical_path",
     "evaluate_assignment_vectors",
-    "kernel_enabled",
-    "set_kernel_enabled",
 ]
 
 
 #: Critical-slack tolerance, re-exported from the reference implementation
 #: so kernel callers share the exact same threshold.
 SLACK_TOL = _SLACK_TOL
-
-_KERNEL_ENABLED = os.environ.get("REPRO_FASTPATH", "1").lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
-
-
-def kernel_enabled() -> bool:
-    """Whether :meth:`Schedule.evaluate` routes through the fast kernel."""
-    return _KERNEL_ENABLED
-
-
-def set_kernel_enabled(enabled: bool) -> bool:
-    """Enable/disable the fast kernel globally; returns the previous state.
-
-    Disabling falls back to the reference implementation in
-    :mod:`repro.core.critical_path` everywhere — results are identical
-    either way (continuously asserted by the test suite and the CI
-    perf-smoke gate); the switch exists so benchmarks can measure the
-    pre-kernel implementation and tests can cross-check both paths.
-    """
-    global _KERNEL_ENABLED
-    previous = _KERNEL_ENABLED
-    _KERNEL_ENABLED = bool(enabled)
-    return previous
-
 
 @dataclass(frozen=True)
 class GraphIndex:

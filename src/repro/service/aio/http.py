@@ -43,6 +43,7 @@ from repro.service.aio.core import AsyncServiceCore
 from repro.service.codec import dumps, loads
 from repro.service.http import (
     HttpPeer,
+    _content_length,
     _status_for,
     _WORKFLOW_EVENTS_RE,
     _WORKFLOW_STATUS_RE,
@@ -87,7 +88,11 @@ class AsyncServiceServer:
                         request_line.decode("latin-1").split()
                     )
                 except ValueError:
-                    return  # malformed request line: drop the connection
+                    self._send_error_payload(
+                        writer, ServiceError("malformed request line"), False
+                    )
+                    await writer.drain()
+                    return
                 headers: dict[str, str] = {}
                 while True:
                     line = await reader.readline()
@@ -96,9 +101,13 @@ class AsyncServiceServer:
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
                 try:
-                    length = int(headers.get("content-length") or 0)
-                except ValueError:
-                    length = 0
+                    length = _content_length(headers.get("content-length"))
+                except ServiceError as exc:
+                    # The body's extent is unknown: answer, then close
+                    # rather than parse the body as the next request.
+                    self._send_error_payload(writer, exc, False)
+                    await writer.drain()
+                    return
                 body = await reader.readexactly(length) if length > 0 else b""
                 keep_alive = (
                     version.upper() == "HTTP/1.1"

@@ -167,7 +167,7 @@ class SchedulingService:
 
     Parameters
     ----------
-    max_workers / queue_size / default_timeout / use_processes:
+    max_workers / queue_size / default_timeout:
         Forwarded to the :class:`~repro.service.executor.JobExecutor`.
     cache_size / cache_dir:
         Forwarded to the :class:`~repro.service.cache.ResultCache`;
@@ -204,7 +204,6 @@ class SchedulingService:
         cache_size: int = 1024,
         cache_dir: str | None = None,
         default_timeout: float | None = None,
-        use_processes: bool = False,
         latency_window: int = 4096,
         degrade_on_timeout: bool = False,
         live_dir: str | None = None,
@@ -228,7 +227,6 @@ class SchedulingService:
             max_workers=max_workers,
             queue_size=queue_size,
             default_timeout=default_timeout,
-            use_processes=use_processes,
             annotate=self._annotate_record,
         )
         self.degrade_on_timeout = bool(degrade_on_timeout)
@@ -271,7 +269,7 @@ class SchedulingService:
                                            # problem_to_dict() body
               "budget":    57.0,           # required
               "algorithm": "critical-greedy",   # optional
-              "params":    {"engine": "fast"},  # optional scheduler knobs
+              "params":    {"engine": "reference"},  # optional scheduler knobs
               "timeout":   10.0            # optional per-job timeout (s)
             }
         """

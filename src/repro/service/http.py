@@ -84,6 +84,22 @@ __all__ = [
 _WORKFLOW_EVENTS_RE = re.compile(r"^/v1/workflows/([A-Za-z0-9_\-]+)/events$")
 _WORKFLOW_SYNC_RE = re.compile(r"^/v1/workflows/([A-Za-z0-9_\-]+)/sync$")
 _WORKFLOW_STATUS_RE = re.compile(r"^/v1/workflows/([A-Za-z0-9_\-]+)$")
+_CONTENT_LENGTH_RE = re.compile(r"[0-9]+")
+
+
+def _content_length(raw: str | None) -> int:
+    """The declared body length of a request; ``0`` when absent.
+
+    Anything but a run of ASCII digits raises :class:`ServiceError`: the
+    body's extent is then unknown, so the front end answers 400 and
+    closes the connection instead of reading the body as the next
+    request.
+    """
+    if raw is None:
+        return 0
+    if _CONTENT_LENGTH_RE.fullmatch(raw.strip()) is None:
+        raise ServiceError(f"invalid Content-Length header {raw!r}")
+    return int(raw)
 
 
 def _status_for(exc: BaseException) -> int:
@@ -127,7 +143,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             )
 
     def _send_json(
-        self, status: int, payload: dict[str, Any], *, retry_after: bool = False
+        self,
+        status: int,
+        payload: dict[str, Any],
+        *,
+        retry_after: bool = False,
+        close: bool = False,
     ) -> None:
         body = dumps(payload).encode("utf-8")
         self.send_response(status)
@@ -135,6 +156,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after:
             self.send_header("Retry-After", "1")
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -142,9 +165,20 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         status = _status_for(exc)
         self._send_json(status, error_payload(exc), retry_after=status == 503)
 
+    def parse_request(self) -> bool:
+        """Parse the request head, rejecting a body that cannot be framed."""
+        if not super().parse_request():
+            return False
+        try:
+            _content_length(self.headers.get("Content-Length"))
+        except ServiceError as exc:
+            self._send_json(400, error_payload(exc), close=True)
+            return False
+        return True
+
     def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        length = _content_length(self.headers.get("Content-Length"))
+        if length == 0:
             raise ServiceError("request body is empty")
         return loads(self.rfile.read(length))
 

@@ -12,7 +12,7 @@ The memoizing result store (:mod:`repro.service.cache`) is keyed by
   the property that turns re-submissions into cache hits.
 * :func:`params_hash` — SHA-256 over the algorithm name, the budget and
   the scheduler's declared knobs
-  (:func:`repro.algorithms.base.declared_params`), so ``engine="fast"``
+  (:func:`repro.algorithms.base.declared_params`), so ``engine="incremental"``
   and ``engine="reference"`` runs never share a cache slot.
 
 Hashes are plain hex strings; :class:`RequestKey` bundles the triple and

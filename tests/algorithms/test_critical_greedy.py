@@ -179,8 +179,28 @@ def _assert_identical(ref, other):
     assert other.evaluation.total_cost == ref.evaluation.total_cost
 
 
+def _solve_via(path, problem, budget, **kwargs):
+    """Solve with the incremental engine, serially or through solve_batch."""
+    scheduler = CriticalGreedyScheduler(**kwargs)
+    if path == "batch":
+        # A second budget keeps solve_batch off its single-budget fallback.
+        return scheduler.solve_batch(problem, [budget, problem.cmax])[0]
+    return scheduler.solve(problem, budget)
+
+
+def _with_transfers(problem):
+    import dataclasses
+
+    from repro.core.problem import TransferModel
+
+    return dataclasses.replace(
+        problem,
+        transfers=TransferModel(bandwidth=2.0, latency=0.5, unit_cost=0.25),
+    )
+
+
 class TestEngineEquivalence:
-    """All three engines must be indistinguishable from each other."""
+    """Incremental, batched and reference solves must be indistinguishable."""
 
     def test_default_engine_is_incremental(self):
         assert CriticalGreedyScheduler().engine == "incremental"
@@ -188,61 +208,95 @@ class TestEngineEquivalence:
     def test_invalid_engine_rejected(self):
         from repro.exceptions import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            CriticalGreedyScheduler(engine="turbo")
+        # "fast" names the deleted full-sweep engine; it gets no alias.
+        for engine in ("turbo", "fast"):
+            with pytest.raises(ConfigurationError, match="'incremental' or 'reference'"):
+                CriticalGreedyScheduler(engine=engine)
 
-    @pytest.mark.parametrize("engine", ["incremental", "fast"])
+    @pytest.mark.parametrize("path", ["incremental", "batch"])
     @pytest.mark.parametrize("budget", [48.0, 52.0, 57.0, 64.0])
-    def test_identical_on_paper_example(self, example_problem, budget, engine):
+    def test_identical_on_paper_example(self, example_problem, budget, path):
         ref = CriticalGreedyScheduler(engine="reference").solve(example_problem, budget)
-        other = CriticalGreedyScheduler(engine=engine).solve(example_problem, budget)
+        other = _solve_via(path, example_problem, budget)
         _assert_identical(ref, other)
         assert other.extras == ref.extras
 
-    @pytest.mark.parametrize("engine", ["incremental", "fast"])
-    def test_identical_on_wrf(self, wrf_problem, engine):
+    @pytest.mark.parametrize("path", ["incremental", "batch"])
+    def test_identical_on_wrf(self, wrf_problem, path):
         budget = 0.5 * (wrf_problem.cmin + wrf_problem.cmax)
         ref = CriticalGreedyScheduler(engine="reference").solve(wrf_problem, budget)
-        other = CriticalGreedyScheduler(engine=engine).solve(wrf_problem, budget)
+        other = _solve_via(path, wrf_problem, budget)
         _assert_identical(ref, other)
 
     @pytest.mark.parametrize("scope", ["critical", "all"])
     @pytest.mark.parametrize("with_transfers", [False, True])
     def test_identical_on_random_instances(self, scope, with_transfers):
-        import dataclasses
-
         import numpy as np
 
-        from repro.core.problem import TransferModel
         from repro.workloads.generator import generate_problem
 
         for seed in range(4):
             rng = np.random.default_rng(1000 + seed)
             problem = generate_problem((12, 25, 4), rng)
             if with_transfers:
-                problem = dataclasses.replace(
-                    problem, transfers=TransferModel(bandwidth=2.0, latency=0.5)
-                )
+                problem = _with_transfers(problem)
             budget = 0.6 * problem.cmin + 0.4 * problem.cmax
             ref = CriticalGreedyScheduler(
                 candidate_scope=scope, engine="reference"
             ).solve(problem, budget)
-            for engine in ("incremental", "fast"):
-                other = CriticalGreedyScheduler(
-                    candidate_scope=scope, engine=engine
-                ).solve(problem, budget)
+            for path in ("incremental", "batch"):
+                other = _solve_via(path, problem, budget, candidate_scope=scope)
                 _assert_identical(ref, other)
 
-    @given(pb=problems_with_budgets())
+    @given(
+        pb=problems_with_budgets(),
+        scope=st.sampled_from(["critical", "all"]),
+        with_transfers=st.booleans(),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_identical_on_hypothesis_instances(self, pb):
+    def test_identical_on_hypothesis_instances(self, pb, scope, with_transfers):
         problem, budget = pb
         if budget < problem.cmin:
             return  # infeasible budgets raise identically; covered elsewhere
-        ref = CriticalGreedyScheduler(engine="reference").solve(problem, budget)
-        for engine in ("incremental", "fast"):
-            other = CriticalGreedyScheduler(engine=engine).solve(problem, budget)
+        if with_transfers:
+            problem = _with_transfers(problem)
+            budget += problem.transfer_cost_total
+        ref = CriticalGreedyScheduler(
+            candidate_scope=scope, engine="reference"
+        ).solve(problem, budget)
+        for path in ("incremental", "batch"):
+            other = _solve_via(path, problem, budget, candidate_scope=scope)
             _assert_identical(ref, other)
+
+    @pytest.mark.parametrize("scope", ["critical", "all"])
+    @pytest.mark.parametrize("with_transfers", [False, True])
+    def test_reference_engine_does_not_use_the_kernel(
+        self, monkeypatch, wrf_problem, scope, with_transfers
+    ):
+        from repro.core import fastpath
+
+        problem = _with_transfers(wrf_problem) if with_transfers else wrf_problem
+        budget = 0.5 * (problem.cmin + problem.cmax)
+        expected = CriticalGreedyScheduler(candidate_scope=scope).solve(problem, budget)
+
+        def kernel_called(*args, **kwargs):
+            raise AssertionError("the reference engine called the array kernel")
+
+        for name in (
+            "sweep_arrays",
+            "fast_critical_path",
+            "evaluate_assignment_vectors",
+            "IncrementalSweep",
+            "BatchedSweep",
+        ):
+            monkeypatch.setattr(fastpath, name, kernel_called)
+        with pytest.raises(AssertionError, match="array kernel"):
+            CriticalGreedyScheduler(candidate_scope=scope).solve(problem, budget)
+        ref = CriticalGreedyScheduler(
+            candidate_scope=scope, engine="reference"
+        ).solve(problem, budget)
+        _assert_identical(expected, ref)
+        assert ref.evaluation.analysis == expected.evaluation.analysis
 
 
 class TestIncrementalEngineInternals:

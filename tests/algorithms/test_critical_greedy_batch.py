@@ -82,12 +82,19 @@ def test_batch_matches_serial_incremental(problem, data, with_transfers):
     _assert_batch_matches_serial(scheduler, problem, budgets)
 
 
-@given(problem=medcc_problems(max_modules=6, max_types=3), data=st.data())
+@given(
+    problem=medcc_problems(max_modules=6, max_types=3),
+    data=st.data(),
+    scope=st.sampled_from(["critical", "all"]),
+    with_transfers=st.booleans(),
+)
 @settings(max_examples=15, deadline=None)
-def test_batch_matches_reference_engine(problem, data):
+def test_batch_matches_reference_engine(problem, data, scope, with_transfers):
     """The batched rows equal the original implementation's solves too."""
-    scheduler = CriticalGreedyScheduler()
-    reference = CriticalGreedyScheduler(engine="reference")
+    if with_transfers:
+        problem = _with_transfers(problem)
+    scheduler = CriticalGreedyScheduler(candidate_scope=scope)
+    reference = CriticalGreedyScheduler(candidate_scope=scope, engine="reference")
     budgets = _budget_grid(data, problem, max_levels=4)
     _assert_batch_matches_serial(scheduler, problem, budgets, oracle=reference)
 
@@ -171,7 +178,7 @@ class TestBatchContract:
             scheduler.solve_batch(example_problem, [57.0, lo - 1.0])
 
     def test_non_incremental_engine_falls_back(self, example_problem):
-        scheduler = CriticalGreedyScheduler(engine="fast")
+        scheduler = CriticalGreedyScheduler(engine="reference")
         budgets = [49.0, 57.0, 64.0]
         _assert_batch_matches_serial(scheduler, example_problem, budgets)
 

@@ -116,21 +116,6 @@ def test_facade_materializes_lazily(diamond_problem):
     assert "est" in analysis.__dict__  # materialized on demand
 
 
-def test_kernel_toggle_roundtrip(diamond_problem):
-    schedule = diamond_problem.least_cost_schedule()
-    previous = fastpath.set_kernel_enabled(False)
-    try:
-        assert not fastpath.kernel_enabled()
-        off = schedule.evaluate(diamond_problem.workflow, diamond_problem.matrices)
-        fastpath.set_kernel_enabled(True)
-        on = schedule.evaluate(diamond_problem.workflow, diamond_problem.matrices)
-    finally:
-        fastpath.set_kernel_enabled(previous)
-    assert off.total_cost == on.total_cost
-    assert off.makespan == on.makespan
-    assert off.analysis == on.analysis
-
-
 def test_evaluate_assignment_vectors_matches_schedule_evaluate(diamond_problem):
     matrices = diamond_problem.matrices
     columns = [0 for _ in matrices.module_names]

@@ -19,6 +19,7 @@ from repro.service.aio.http import BackgroundAsyncServer
 from repro.service.app import SchedulingService
 from repro.service.codec import dumps
 from repro.service.http import ServiceClient, make_server
+from tests.service.wire import raw_exchange
 
 
 @pytest.fixture
@@ -134,6 +135,46 @@ class TestBatchEndpoint:
         assert response["status"] == "error"
         assert response["error"]["kind"] == "bad_request"
         assert "array" in response["error"]["message"]
+
+
+class TestFraming:
+    """Client framing faults get a 400 and a closed connection."""
+
+    @pytest.fixture
+    def port(self, async_served):
+        _, server, _ = async_served
+        return int(server.base_url.rsplit(":", 1)[1])
+
+    @pytest.mark.parametrize("length", ["abc", "1_0", "-5", ""])
+    def test_bad_content_length_is_400_and_closes(self, port, length):
+        # The body looks like a second request: a server that read it as
+        # one would answer twice.
+        smuggled = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        request = (
+            f"POST /v1/solve HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode() + smuggled
+        [(status, headers, body)] = raw_exchange(port, request)
+        assert status == 400
+        assert headers["connection"] == "close"
+        error = json.loads(body)["error"]
+        assert error["kind"] == "bad_request"
+        assert "Content-Length" in error["message"]
+
+    @pytest.mark.parametrize(
+        "line", [b"GARBAGE\r\n", b"GET /v1/healthz\r\n", b"GET / HTTP/1.1 extra\r\n"]
+    )
+    def test_malformed_request_line_is_400_and_closes(self, port, line):
+        [(status, headers, body)] = raw_exchange(port, line + b"\r\n")
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error"]["kind"] == "bad_request"
+
+    def test_valid_requests_keep_the_connection_alive(self, port):
+        ping = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        last = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        responses = raw_exchange(port, ping + ping + last)
+        assert [status for status, _, _ in responses] == [200, 200, 200]
 
 
 class TestAsyncClient:

@@ -326,11 +326,3 @@ class TestGracefulDrain:
         finally:
             release.set()
             ex.shutdown()
-
-
-class TestProcessPool:
-    def test_process_mode_solves(self):
-        with JobExecutor(
-            abs, max_workers=2, queue_size=4, use_processes=True
-        ) as ex:
-            assert ex.submit(-5).result(timeout=30) == 5

@@ -12,6 +12,7 @@ from repro.service.app import SchedulingService
 from repro.service.codec import dumps
 from repro.service.executor import JobExecutor
 from repro.service.http import ServiceClient, make_server
+from tests.service.wire import raw_exchange
 
 
 @pytest.fixture
@@ -91,11 +92,62 @@ class TestRoutes:
         body = json.loads(info.value.read())
         assert body["error"]["kind"] == "bad_request"
 
+    def test_removed_engine_is_400(self, served, request_payload):
+        _, client = served
+        url = f"{client.base_url}/v1/solve"
+        payload = dict(request_payload, params={"engine": "fast"})
+        request = urllib.request.Request(
+            url, data=dumps(payload).encode(), headers={"Content-Type": "application/json"}
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=10)
+        assert info.value.code == 400
+        error = json.loads(info.value.read())["error"]
+        assert error["kind"] == "bad_request"
+        assert "'incremental' or 'reference'" in error["message"]
+
     def test_infeasible_budget_is_400(self, served, request_payload):
         _, client = served
         response = client.solve(dict(request_payload, budget=0.01))
         assert response["status"] == "error"
         assert response["error"]["kind"] == "infeasible_budget"
+
+
+class TestFraming:
+    """Client framing faults get a 400 and a closed connection."""
+
+    @pytest.fixture
+    def port(self, served):
+        _, client = served
+        return int(client.base_url.rsplit(":", 1)[1])
+
+    @pytest.mark.parametrize("length", ["abc", "1_0", "-5", ""])
+    def test_bad_content_length_is_400_and_closes(self, port, length):
+        # The body looks like a second request: a server that read it as
+        # one would answer twice.
+        smuggled = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        request = (
+            f"POST /v1/solve HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode() + smuggled
+        [(status, headers, body)] = raw_exchange(port, request)
+        assert status == 400
+        assert headers["connection"] == "close"
+        error = json.loads(body)["error"]
+        assert error["kind"] == "bad_request"
+        assert "Content-Length" in error["message"]
+
+    def test_bad_content_length_on_get_is_400(self, port):
+        request = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nContent-Length: x\r\n\r\n"
+        [(status, headers, _)] = raw_exchange(port, request)
+        assert status == 400
+        assert headers["connection"] == "close"
+
+    def test_valid_requests_keep_the_connection_alive(self, port):
+        ping = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        last = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        responses = raw_exchange(port, ping + ping + last)
+        assert [status for status, _, _ in responses] == [200, 200, 200]
 
 
 class TestOverload:
